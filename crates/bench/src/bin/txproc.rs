@@ -5,7 +5,7 @@
 //! txproc simulate  [--seed N] [--processes N] [--density F] [--failures F]
 //!                  [--policy pred|pred-wait|pred-protocol|serial|conservative|unsafe-cc]
 //!                  [--arrival-gap N] [--check] [--epoch N]
-//!                  [--runtime events|threads] [--workers N] [--shards auto|single|N]
+//!                  [--runtime events] [--workers N] [--shards auto|single|N]
 //!                  [--wal PATH] [--durability none|buffered|fsync-N|fsync-epoch]
 //!                  [--snapshot-every N]
 //!                  # --runtime switches to the wall-clock concurrent driver
@@ -26,7 +26,7 @@
 //!                  [--arrival-gap N]           # perf trajectory → BENCH_scheduler.json
 //!                  [--shards auto|single|N]    # concurrent-driver shard topology
 //!                  [--clusters N]              # tenants in the sharding comparison
-//!                  [--runtime events|threads] [--workers N]
+//!                  [--workers N]
 //!                  [--open-processes CSV] [--open-gap US]  # Poisson open-arrival sweep
 //!                  [--epoch N]                 # epoch size of the epoch sweep entries
 //!                  [--durability-processes N]  # E26 durability sweep size (0 = skip)
@@ -40,14 +40,14 @@
 //!                  [--trace-sample N]          # keep every Nth process chain
 //! txproc stats     [--seed N] [--processes N] [--density F] [--failures F]
 //!                  [--policy …] [--certifier …] [--arrival-gap N]
-//!                  [--runtime events|threads] [--shards …] [--workers N]
+//!                  [--runtime events] [--shards …] [--workers N]
 //!                  [--prom PATH]               # Prometheus text (default: stdout)
 //!                  [--timeseries PATH]         # sampled series as JSON
 //!                  [--samples N]               # time-series ring capacity
 //!                  [--sample-ms N]             # wall sampler period (concurrent)
 //!                  [--sample-events N]         # virtual-time period (engine)
 //! txproc top       [--seed N] [--processes N] [--density F] [--failures F]
-//!                  [--policy …] [--certifier …] [--runtime events|threads]
+//!                  [--policy …] [--certifier …]
 //!                  [--shards …] [--workers N] [--refresh-ms N]
 //!                  # live per-shard/per-worker metrics while the
 //!                  # concurrent driver runs the workload
@@ -56,7 +56,7 @@
 //!                  # against the committed BENCH_baseline.json; exit 1 on
 //!                  # per-point throughput/latency deviations past the gate
 //! txproc gauntlet  [--seeds N] [--scenario NAME] [--policy …] [--certifier …]
-//!                  [--shards auto|single|N] [--runtime events|threads]
+//!                  [--shards auto|single|N]
 //!                  [--workers N] [--epoch N] [--json PATH]
 //!                  # run the named adversarial scenarios (engine + sharded
 //!                  # concurrent) through the PRED / Proc-REC checkers and
@@ -143,8 +143,7 @@ fn parse_certifier(name: &str) -> Result<CertifierKind, String> {
 }
 
 fn parse_runtime(raw: &str) -> Result<RuntimeKind, String> {
-    RuntimeKind::parse(raw)
-        .ok_or_else(|| format!("invalid --runtime value: {raw} (want events|threads)"))
+    RuntimeKind::parse(raw).ok_or_else(|| format!("invalid --runtime value: {raw} (want events)"))
 }
 
 fn parse_shards(raw: &str) -> Result<ShardMode, String> {
@@ -173,9 +172,6 @@ fn workload_from(args: &Args) -> Result<txproc_sim::workload::Workload, String> 
     .map_err(|e| e.to_string())
 }
 
-/// `simulate --runtime events|threads`: the wall-clock concurrent driver
-/// instead of the virtual-time engine. Config errors (e.g. a workload past
-/// the thread runtime's cap) surface as CLI errors naming the knob to turn.
 /// Parses the shared WAL options: `--wal PATH` turns journaling on,
 /// `--durability` picks the fsync policy (default `fsync-epoch`),
 /// `--snapshot-every N` the engine snapshot cadence (default 64).
@@ -203,6 +199,9 @@ fn open_wal(
     Ok(WalWriter::new(Box::new(file), policy, seed))
 }
 
+/// `simulate --runtime events`: the wall-clock concurrent driver instead
+/// of the virtual-time engine. Config errors (e.g. `--workers 0`) surface
+/// as CLI errors naming the knob to turn.
 fn simulate_concurrent(
     args: &Args,
     w: &txproc_sim::workload::Workload,
@@ -477,9 +476,6 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     if let Some(raw) = args.values.get("shards") {
         cfg.shards = parse_shards(raw)?;
     }
-    if let Some(raw) = args.values.get("runtime") {
-        cfg.runtime = parse_runtime(raw)?;
-    }
     cfg.workers = parse_workers(args)?.or(cfg.workers);
     if let Some(raw) = args.values.get("open-processes") {
         cfg.open_processes = parse_csv(raw, "--open-processes")?;
@@ -502,12 +498,6 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
             "{:<10} {:<14} n={:<4} d={:<4} {:>10.2} ms  {:>12.0} events/s  ({} committed, {} aborted){shard}",
             e.mode, e.policy, e.processes, e.density, e.wall_ms, e.events_per_sec,
             e.committed, e.aborted
-        );
-    }
-    for p in &report.runtime_ratio {
-        println!(
-            "ratio      n={:<5} d={:<4} events {:>12.0} ev/s  threads {:>12.0} ev/s  {:>5.2}x",
-            p.processes, p.density, p.events_per_sec_events, p.events_per_sec_threads, p.ratio
         );
     }
     for o in &report.open_runs {
@@ -660,7 +650,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
 /// export the result two ways — Prometheus text (stdout, or `--prom PATH`)
 /// and the sampled time-series ring as a `txproc-timeseries/v1` JSON
 /// document (`--timeseries PATH`). Engine runs sample on virtual time every
-/// `--sample-events`; concurrent runs (`--runtime events|threads`) attach a
+/// `--sample-events`; concurrent runs (`--runtime events`) attach a
 /// wall-clock sampler thread ticking every `--sample-ms`.
 fn cmd_stats(args: &Args) -> Result<(), String> {
     use txproc_core::telemetry::{prometheus_text, Telemetry};
@@ -684,7 +674,7 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
             workers: parse_workers(args)?,
             ..ConcurrentConfig::default()
         };
-        cfg.validate(w.spec.processes().count())?;
+        cfg.validate()?;
         let every = std::time::Duration::from_millis(args.get("sample-ms", 1u64)?.max(1));
         let sampler = Sampler::spawn(tele.clone(), every, series.clone());
         let r = txproc_engine::RunBuilder::new(&w)
@@ -827,14 +817,10 @@ fn cmd_top(args: &Args) -> Result<(), String> {
             Some(raw) => parse_shards(raw)?,
             None => ShardMode::Auto,
         },
-        runtime: match args.values.get("runtime") {
-            Some(raw) => parse_runtime(raw)?,
-            None => RuntimeKind::Events,
-        },
         workers: parse_workers(args)?,
         ..ConcurrentConfig::default()
     };
-    cfg.validate(w.spec.processes().count())?;
+    cfg.validate()?;
     let refresh = std::time::Duration::from_millis(args.get("refresh-ms", 200u64)?.max(10));
     let ansi = std::io::stdout().is_terminal();
     let tele = Telemetry::on();
@@ -927,9 +913,6 @@ fn cmd_gauntlet(args: &Args) -> Result<(), String> {
     cfg.certifier = parse_certifier(&args.get("certifier", cfg.certifier.label().to_string())?)?;
     if let Some(raw) = args.values.get("shards") {
         cfg.shards = parse_shards(raw)?;
-    }
-    if let Some(raw) = args.values.get("runtime") {
-        cfg.runtime = parse_runtime(raw)?;
     }
     cfg.workers = parse_workers(args)?.or(cfg.workers);
     cfg.epoch = args.get("epoch", cfg.epoch)?;
@@ -1162,10 +1145,9 @@ mod tests {
         ]);
         cmd_bench(&a).unwrap();
         let raw = std::fs::read_to_string(&out).unwrap();
-        assert!(raw.contains("txproc-bench-scheduler/v8"));
+        assert!(raw.contains("txproc-bench-scheduler/v9"));
         assert!(raw.contains("pred-scan"));
         assert!(raw.contains("zipf-hotspot"));
-        assert!(raw.contains("runtime_ratio"));
         assert!(raw.contains("open_runs"));
         assert!(raw.contains("\"phases\""));
         assert!(raw.contains("telemetry_overhead"));
@@ -1354,24 +1336,27 @@ mod tests {
             "--check",
         ]);
         cmd_simulate(&events).unwrap();
-        let threads = args(&[
+        let two_workers = args(&[
             "--seed",
             "3",
             "--processes",
             "6",
             "--runtime",
-            "threads",
+            "events",
             "--workers",
             "2",
         ]);
-        cmd_simulate(&threads).unwrap();
-        let bad = args(&["--runtime", "fibers"]);
-        assert!(cmd_simulate(&bad).is_err());
-        // The thread runtime's process cap surfaces as a CLI error naming
-        // the knob that lifts it.
-        let capped = args(&["--processes", "600", "--runtime", "threads"]);
-        let err = cmd_simulate(&capped).unwrap_err();
-        assert!(err.contains("--runtime events"), "{err}");
+        cmd_simulate(&two_workers).unwrap();
+        // `events` is the only runtime: the removed thread runtime is
+        // rejected like any other unknown name.
+        for bogus in ["threads", "fibers"] {
+            let err = cmd_simulate(&args(&["--runtime", bogus])).unwrap_err();
+            assert!(err.contains("want events"), "{bogus}: {err}");
+        }
+        // A config error surfaces as a CLI error naming its knob.
+        let zero = args(&["--processes", "4", "--runtime", "events", "--workers", "0"]);
+        let err = cmd_simulate(&zero).unwrap_err();
+        assert!(err.contains("--workers"), "{err}");
     }
 
     #[test]

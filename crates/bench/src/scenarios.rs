@@ -202,8 +202,6 @@ pub struct GauntletConfig {
     pub concurrent: bool,
     /// Shard topology for concurrent runs.
     pub shards: ShardMode,
-    /// Execution runtime of the concurrent runs (`events` by default).
-    pub runtime: RuntimeKind,
     /// Worker-pool override for the events runtime (`None` = auto).
     pub workers: Option<usize>,
     /// Epoch size for group certification and batch commit on both drivers
@@ -221,7 +219,6 @@ impl GauntletConfig {
             certifier: CertifierKind::Incremental,
             concurrent: true,
             shards: ShardMode::Auto,
-            runtime: RuntimeKind::Events,
             workers: None,
             epoch: 0,
         }
@@ -241,7 +238,7 @@ impl GauntletConfig {
 pub struct ScenarioModeReport {
     /// `engine` (virtual time) or `concurrent` (sharded wall-clock driver).
     pub mode: &'static str,
-    /// Execution runtime of concurrent modes (`events` or `threads`);
+    /// Execution runtime of concurrent modes (`events`);
     /// `None` for engine modes, which have no runtime to pick.
     pub runtime: Option<String>,
     /// Runs aggregated (one per seed).
@@ -371,7 +368,7 @@ pub fn run_scenario(scenario: &Scenario, cfg: &GauntletConfig) -> ScenarioReport
         (r.history, r.metrics)
     })];
     if cfg.concurrent {
-        let runtime = Some(cfg.runtime.label().to_string());
+        let runtime = Some(RuntimeKind::Events.label().to_string());
         modes.push(mode_report(scenario, cfg, "concurrent", runtime, |w| {
             let r = run_concurrent(
                 w,
@@ -380,7 +377,6 @@ pub fn run_scenario(scenario: &Scenario, cfg: &GauntletConfig) -> ScenarioReport
                     seed: w.config.seed,
                     certifier: cfg.certifier,
                     shards: cfg.shards,
-                    runtime: cfg.runtime,
                     workers: cfg.workers,
                     epoch: cfg.epoch,
                     ..ConcurrentConfig::default()

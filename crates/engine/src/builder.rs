@@ -2,13 +2,6 @@
 //! telemetry, sampling, epochs, and durability compose as orthogonal
 //! options, for both the virtual-time engine and the concurrent driver.
 //!
-//! Before the builder, every option combination minted its own entry point
-//! (`run_concurrent` / `_traced` / `_instrumented`, `Engine::with_sink` /
-//! `with_telemetry` / `with_sampling`) and adding durability would have
-//! doubled that set again. Those entry points survive as thin deprecated
-//! shims delegating here, pinned bit-identical by the 256-seed
-//! differentials in `tests/builder_shims.rs`.
-//!
 //! ```ignore
 //! // Virtual-time engine, traced, journaled to a WAL:
 //! let out = RunBuilder::new(&workload)
@@ -179,7 +172,7 @@ impl<'a> RunBuilder<'a> {
         let sink = self.sink.unwrap_or_else(|| Box::new(NoopSink));
         match self.concurrent_cfg {
             Some(cfg) => {
-                cfg.validate(self.workload.spec.processes().count())?;
+                cfg.validate()?;
                 Ok(RunOutcome::Concurrent(run_concurrent_impl(
                     self.workload,
                     cfg,
@@ -200,5 +193,31 @@ impl<'a> RunBuilder<'a> {
                 Ok(RunOutcome::Engine(engine.run()))
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use txproc_sim::workload::{generate, WorkloadConfig};
+
+    #[test]
+    fn try_run_reports_config_errors() {
+        let w = generate(&WorkloadConfig {
+            seed: 1,
+            processes: 4,
+            ..WorkloadConfig::default()
+        });
+        let bad = ConcurrentConfig {
+            workers: Some(0),
+            ..ConcurrentConfig::default()
+        };
+        let err = RunBuilder::new(&w).concurrent(bad).try_run().unwrap_err();
+        assert!(err.contains("--workers"), "error names the knob: {err}");
+        let ok = RunBuilder::new(&w)
+            .concurrent(ConcurrentConfig::default())
+            .try_run()
+            .unwrap();
+        assert_eq!(ok.metrics().terminated(), 4);
     }
 }

@@ -1,5 +1,5 @@
 //! Concurrent driver: the same scheduling protocol exercised under real
-//! concurrency, sharded by conflict domains, with two runtimes.
+//! concurrency, sharded by conflict domains.
 //!
 //! The virtual-time [`Engine`](crate::engine::Engine) is deterministic and
 //! fast — ideal for experiments. This driver runs the workload under real
@@ -17,25 +17,16 @@
 //! global PRED (see DESIGN.md "Conflict-domain sharding" for the
 //! commutation argument, and the differential stress tests for the oracle).
 //!
-//! # Runtimes
+//! # Runtime
 //!
-//! Both runtimes drive the same non-blocking state-machine step
-//! ([`advance`]); they differ only in *who* calls it and what a blocked
-//! process costs:
-//!
-//! * [`RuntimeKind::Events`] (default) — a fixed worker pool (default
-//!   `min(cores, shards)`). Each worker owns a disjoint set of shards;
-//!   per shard it keeps a run queue of runnable processes and a waiting
-//!   set of blocked ones. A blocked process costs a queue entry, not a
-//!   parked 2 MB thread stack, so the runtime scales to 100k+ in-flight
-//!   processes. Any step that bumps the shard generation re-queues the
-//!   shard's waiters (notification-completeness is unchanged from the
-//!   thread runtime: a blocker is always a shard-mate, and every
-//!   unblocking mutation bumps the generation).
-//! * [`RuntimeKind::Threads`] — one OS thread per process, condvar-parked
-//!   while blocked. Kept as the differential baseline for the events
-//!   runtime (bit-equal outcomes on disjoint workloads); capped at
-//!   [`RuntimeKind::max_processes`] threads.
+//! Processes are non-blocking state machines stepped by a fixed worker
+//! pool (default `min(cores, shards)`; see [`advance`]). Each worker owns
+//! a disjoint set of shards; per shard it keeps a run queue of runnable
+//! processes and a waiting set of blocked ones. A blocked process costs a
+//! queue entry, not a parked thread stack, so the runtime scales to 100k+
+//! in-flight processes. Any step that bumps the shard generation re-queues
+//! the shard's waiters: a blocker is always a shard-mate, and every
+//! unblocking mutation bumps the generation, so no wakeup is missed.
 //!
 //! Lock order (never acquired in reverse):
 //!
@@ -50,26 +41,15 @@
 //! prepared invocation can only block a *conflicting* service (reads do not
 //! lock; additive writes share their lock), and conflicting services are by
 //! construction in the same domain — so cross-shard `Busy` outcomes cannot
-//! occur and shard-local notification is complete.
-//!
-//! In the thread runtime, waiting is notification-driven: every history
-//! mutation bumps the shard *generation* and broadcasts the shard condvar
-//! (the pre-sharding driver polled on fixed 2/5/10 ms sleeps instead). A
-//! woken waiter whose generation did not move counts as a spurious wakeup
-//! in [`ShardMetrics`]. Waits carry no timeout: when every live worker of
-//! a shard would be parked, the last one re-polls instead of sleeping, so
-//! deadlock escalation needs no timer (the historical 3 ms fallback wait
-//! only masked lost-notify bugs; it can be restored for debugging with
-//! [`ConcurrentConfig::fallback_wait`]).
+//! occur and shard-local wakeups are complete.
 //!
 //! Failure injection is a pure function of `(seed, activity, attempt)`, so
 //! outcome draws are independent of thread interleaving: on workloads whose
 //! processes are pairwise non-conflicting the sharded and single-lock
-//! configurations — and the two runtimes — produce bit-equal commit/abort
-//! sets.
+//! configurations produce bit-equal commit/abort sets.
 
 use crate::policy::{CertifierKind, Policy, PolicyKind};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -87,12 +67,6 @@ use txproc_sim::workload::Workload;
 use txproc_subsystem::agent::{Agent, CommitMode, InvocationId, InvokeOutcome};
 use txproc_subsystem::deploy::ServiceSite;
 use txproc_subsystem::subsystem::{Subsystem, SubsystemId};
-
-/// Debug-only bound on a condvar wait, restored by
-/// [`ConcurrentConfig::fallback_wait`]. Within a shard every unblocking
-/// mutation notifies, so in normal operation waits carry no timeout — a
-/// timeout only masks lost-notify bugs (see the lost-wakeup stress test).
-const FALLBACK_WAIT: Duration = Duration::from_millis(3);
 
 /// Consecutive state-machine steps one event worker runs on a shard before
 /// moving to its next shard (bounds cross-shard starvation on a worker
@@ -173,24 +147,20 @@ impl serde::Deserialize for ShardMode {
     }
 }
 
-/// How processes are executed: parked threads or worker-pool state
-/// machines.
+/// How processes are executed. The event-driven worker pool is the only
+/// runtime; the one-variant type and [`ConcurrentConfig::runtime`] stay
+/// because the benchmark package (`perfbench/`) names them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RuntimeKind {
-    /// One OS thread per process, condvar-parked while blocked. The
-    /// differential baseline; capped at [`RuntimeKind::max_processes`].
-    Threads,
-    /// Event-driven worker pool (the default): processes are state
-    /// machines on per-shard run queues, stepped by `min(cores, shards)`
-    /// workers. No per-process cap.
+    /// Event-driven worker pool: processes are state machines on
+    /// per-shard run queues, stepped by `min(cores, shards)` workers.
     Events,
 }
 
 impl RuntimeKind {
-    /// Parses `threads` or `events`.
+    /// Parses `events`.
     pub fn parse(s: &str) -> Option<Self> {
         match s {
-            "threads" => Some(Self::Threads),
             "events" => Some(Self::Events),
             _ => None,
         }
@@ -199,19 +169,7 @@ impl RuntimeKind {
     /// Stable label for reports and the `--runtime` flag.
     pub fn label(&self) -> &'static str {
         match self {
-            Self::Threads => "threads",
             Self::Events => "events",
-        }
-    }
-
-    /// In-flight process ceiling of the runtime, if any. The thread
-    /// runtime spawns one OS thread (≈2 MB of stack) per process, so it is
-    /// capped; the events runtime holds a blocked process as a run-queue
-    /// entry and has no ceiling.
-    pub fn max_processes(&self) -> Option<usize> {
-        match self {
-            Self::Threads => Some(512),
-            Self::Events => None,
         }
     }
 }
@@ -250,17 +208,11 @@ pub struct ConcurrentConfig {
     /// Shard topology. `Auto` (the default) shards by conflict domain;
     /// `Single` is the pre-sharding single-lock driver.
     pub shards: ShardMode,
-    /// Execution runtime. `Events` (the default) steps processes with a
-    /// fixed worker pool; `Threads` is the thread-per-process baseline.
+    /// Execution runtime (only [`RuntimeKind::Events`]).
     pub runtime: RuntimeKind,
-    /// Worker-pool size for the events runtime. `None` (the default)
-    /// resolves to `min(available cores, shard count)`. Ignored by the
-    /// thread runtime.
+    /// Worker-pool size. `None` (the default) resolves to
+    /// `min(available cores, shard count)`.
     pub workers: Option<usize>,
-    /// Debug flag: restore the historical 3 ms fallback timeout on thread-
-    /// runtime condvar waits. Off by default — the timeout only masks
-    /// lost-notify bugs.
-    pub fallback_wait: bool,
     /// Epoch size for group certification and batch commit. `0` keeps the
     /// per-event path bit-identical to earlier releases. With `N > 0` each
     /// shard retains certified plans for their matching `record` (one
@@ -284,28 +236,14 @@ impl Default for ConcurrentConfig {
             shards: ShardMode::Auto,
             runtime: RuntimeKind::Events,
             workers: None,
-            fallback_wait: false,
             epoch: 0,
         }
     }
 }
 
 impl ConcurrentConfig {
-    /// Checks the configuration against a workload size. The in-flight
-    /// limit is derived from the runtime kind, not a hardcoded ceiling:
-    /// the error names the knob that lifts it.
-    pub fn validate(&self, processes: usize) -> Result<(), String> {
-        if let Some(cap) = self.runtime.max_processes() {
-            if processes > cap {
-                return Err(format!(
-                    "workload has {processes} processes but the `{}` runtime spawns one OS \
-                     thread per process and is capped at {cap}; select the event-driven \
-                     runtime (`--runtime events` / `ConcurrentConfig::runtime = \
-                     RuntimeKind::Events`) to lift the cap",
-                    self.runtime.label()
-                ));
-            }
-        }
+    /// Checks the configuration; the error names the knob to change.
+    pub fn validate(&self) -> Result<(), String> {
         if self.workers == Some(0) {
             return Err("worker pool must have at least 1 worker (`--workers` / \
                  `ConcurrentConfig::workers`)"
@@ -314,8 +252,7 @@ impl ConcurrentConfig {
         Ok(())
     }
 
-    /// Worker-pool size the events runtime will use for a given shard
-    /// count.
+    /// Worker-pool size the runtime will use for a given shard count.
     pub fn resolved_workers(&self, shard_count: usize) -> usize {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -347,9 +284,8 @@ struct TraceShared<'a> {
     sink: Mutex<Box<dyn TraceSink + 'a>>,
     seq: AtomicU64,
     enabled: bool,
-    /// Static shard→worker assignment of the events runtime (`None` under
-    /// the thread runtime, which has no worker lane).
-    worker_of_shard: Option<Vec<u32>>,
+    /// Static shard→worker assignment.
+    worker_of_shard: Vec<u32>,
 }
 
 impl TraceShared<'_> {
@@ -357,7 +293,7 @@ impl TraceShared<'_> {
         if !self.enabled {
             return;
         }
-        let worker = self.worker_of_shard.as_ref().map(|map| map[shard as usize]);
+        let worker = Some(self.worker_of_shard[shard as usize]);
         let mut sink = self.sink.lock();
         // Sequence assignment under the sink lock keeps journal order and
         // seq order identical even when shards race to record.
@@ -381,7 +317,7 @@ impl TraceShared<'_> {
         if !self.enabled || entries.is_empty() {
             return;
         }
-        let worker = self.worker_of_shard.as_ref().map(|map| map[shard as usize]);
+        let worker = Some(self.worker_of_shard[shard as usize]);
         let mut sink = self.sink.lock();
         for (history_len, event) in entries {
             let seq = self.seq.fetch_add(1, Ordering::Relaxed);
@@ -438,17 +374,13 @@ impl RunCtx<'_, '_> {
 }
 
 /// One conflict-domain shard: a complete scheduler state behind its own
-/// lock and condvar, plus contention counters (atomics so they survive into
-/// the merge without locking).
+/// lock, plus contention counters (atomics so they survive into the merge
+/// without locking).
 struct Shard<'a> {
     id: u32,
     state: Mutex<ShardState<'a>>,
-    cond: Condvar,
     lock_wait_ns: AtomicU64,
     lock_hold_ns: AtomicU64,
-    notifies: AtomicU64,
-    wakeups: AtomicU64,
-    spurious_wakeups: AtomicU64,
     /// Telemetry handle for the lock-wait / lock-hold phase timers (off by
     /// default: one branch per lock operation).
     tele: Telemetry,
@@ -462,12 +394,8 @@ impl<'a> Shard<'a> {
         Self {
             id,
             state: Mutex::new(state),
-            cond: Condvar::new(),
             lock_wait_ns: AtomicU64::new(0),
             lock_hold_ns: AtomicU64::new(0),
-            notifies: AtomicU64::new(0),
-            wakeups: AtomicU64::new(0),
-            spurious_wakeups: AtomicU64::new(0),
             tele,
             tele_lock_wait,
         }
@@ -486,60 +414,15 @@ impl<'a> Shard<'a> {
             guard,
             shard: self,
             acquired: Instant::now(),
-            excluded: Duration::ZERO,
         }
-    }
-
-    /// Broadcasts the shard condvar after a visible state change.
-    fn notify(&self) {
-        self.notifies.fetch_add(1, Ordering::Relaxed);
-        self.cond.notify_all();
-    }
-
-    /// Blocks until the shard generation moves past the value observed at
-    /// call time. Returns whether the generation moved; a `false` return is
-    /// counted as a spurious wakeup.
-    ///
-    /// Waits carry no timeout. A parked waiter can only be unblocked by a
-    /// shard-mate's mutation, and every mutation notifies — so if every
-    /// other live worker of the shard is already parked, nobody is left to
-    /// notify us and the wait would be forever. In that case the last
-    /// waiter returns immediately (an intentional re-poll) so the
-    /// no-progress escalation in [`advance`] can abort a deadlock victim.
-    /// With `fallback` (debug flag) the historical 3 ms timeout is used
-    /// instead.
-    fn wait_for_change(&self, g: &mut ShardGuard<'_, 'a>, fallback: bool) -> bool {
-        let seen = g.generation;
-        let t0 = Instant::now();
-        if fallback {
-            let _ = self.cond.wait_for(&mut g.guard, FALLBACK_WAIT);
-        } else if g.waiting_workers + 1 >= g.live_workers {
-            // Last non-parked worker: re-poll instead of sleeping.
-            self.wakeups.fetch_add(1, Ordering::Relaxed);
-            self.spurious_wakeups.fetch_add(1, Ordering::Relaxed);
-            return false;
-        } else {
-            g.waiting_workers += 1;
-            self.cond.wait(&mut g.guard);
-            g.waiting_workers -= 1;
-        }
-        g.excluded += t0.elapsed();
-        self.wakeups.fetch_add(1, Ordering::Relaxed);
-        let progressed = g.generation != seen;
-        if !progressed {
-            self.spurious_wakeups.fetch_add(1, Ordering::Relaxed);
-        }
-        progressed
     }
 }
 
-/// Shard lock guard that charges hold time (minus condvar-wait time) on
-/// release.
+/// Shard lock guard that charges hold time on release.
 struct ShardGuard<'g, 'a> {
     guard: parking_lot::MutexGuard<'g, ShardState<'a>>,
     shard: &'g Shard<'a>,
     acquired: Instant,
-    excluded: Duration,
 }
 
 impl<'a> std::ops::Deref for ShardGuard<'_, 'a> {
@@ -557,7 +440,7 @@ impl<'a> std::ops::DerefMut for ShardGuard<'_, 'a> {
 
 impl Drop for ShardGuard<'_, '_> {
     fn drop(&mut self) {
-        let held = self.acquired.elapsed().saturating_sub(self.excluded);
+        let held = self.acquired.elapsed();
         self.shard
             .lock_hold_ns
             .fetch_add(held.as_nanos() as u64, Ordering::Relaxed);
@@ -584,16 +467,9 @@ struct ShardState<'a> {
     /// Global merge ticket of each segment event (parallel to `history`).
     event_tickets: Vec<u64>,
     /// Bumped on every scheduler-visible mutation (history events, policy
-    /// live-op removal at finalize, worker exit); waiters key their condvar
-    /// waits on it to tell productive wakeups from spurious ones, and the
-    /// events runtime re-queues a shard's waiters when it moves.
+    /// live-op removal at finalize); the runtime re-queues a shard's
+    /// waiters when it moves.
     generation: u64,
-    /// Thread runtime only: worker threads of this shard that have arrived
-    /// and not yet exited, and how many of them are parked on the condvar.
-    /// The last unparked worker re-polls instead of parking (see
-    /// [`Shard::wait_for_change`]).
-    live_workers: usize,
-    waiting_workers: usize,
     metrics: Metrics,
     invocations: BTreeMap<GlobalActivityId, (SubsystemId, InvocationId)>,
     /// Deferred activities released by a predecessor's termination.
@@ -644,11 +520,11 @@ struct SimulatedInvoke {
     site: ServiceSite,
 }
 
-/// Outcome of one worker-loop iteration.
+/// Outcome of one state-machine step.
 enum Step {
-    /// Process reached a terminal state; the worker exits.
+    /// Process reached a terminal state.
     Done,
-    /// Blocked on shard state; wait for the generation to move.
+    /// Blocked on shard state; parked until the generation moves.
     Wait,
     /// Made progress (or must re-poll immediately); optionally runs a
     /// simulated invocation after releasing the shard lock.
@@ -937,88 +813,23 @@ fn p_fail(workload: &Workload, subsystem: SubsystemId) -> f64 {
     workload.config.failure_probability.clamp(0.0, 1.0)
 }
 
-/// Runs the workload under the configured runtime, sharded by conflict
-/// domain per `cfg.shards`. Panics on an invalid configuration (e.g. more
-/// processes than the thread runtime supports); use
-/// [`try_run_concurrent`] for a `Result`.
+/// Runs the workload, sharded by conflict domain per `cfg.shards`. Panics
+/// on an invalid configuration; use [`crate::builder::RunBuilder::try_run`]
+/// for a `Result`. The driver has no virtual clock: [`Metrics::latencies`]
+/// holds wall-clock submit→terminal times in microseconds and
+/// [`Metrics::makespan`] the wall-clock run time in microseconds (the
+/// virtual-time engine reports virtual ticks in those fields instead).
 pub fn run_concurrent(workload: &Workload, cfg: ConcurrentConfig) -> ConcurrentResult {
     run_concurrent_impl(workload, cfg, Box::new(NoopSink), Telemetry::off(), None)
 }
 
-/// Fallible variant of [`run_concurrent`]: returns the configuration
-/// error (naming the knob to change) instead of panicking.
-pub fn try_run_concurrent(
-    workload: &Workload,
-    cfg: ConcurrentConfig,
-) -> Result<ConcurrentResult, String> {
-    cfg.validate(workload.spec.processes().count())?;
-    Ok(run_concurrent_impl(
-        workload,
-        cfg,
-        Box::new(NoopSink),
-        Telemetry::off(),
-        None,
-    ))
-}
-
-/// Same as [`run_concurrent`], delivering structured [`TraceEvent`]s to
-/// `sink`. The driver has no virtual clock, so records are stamped with
-/// `time == seq` (journal order) and the shard that served the decision;
-/// `history_len` is the shard-local segment length. Multi-process
-/// interleavings are nondeterministic (except under the events runtime
-/// with one worker and closed arrivals); a single-process run yields a
-/// bit-identical journal across repeats. [`Metrics::latencies`] holds
-/// wall-clock submit→terminal times in microseconds and
-/// [`Metrics::makespan`] the wall-clock run time in microseconds (the
-/// virtual-time engine reports virtual ticks in those fields instead).
-#[deprecated(
-    since = "0.10.0",
-    note = "compose the options on `RunBuilder` instead: \
-            `RunBuilder::new(w).concurrent(cfg).sink(sink).run()`"
-)]
-pub fn run_concurrent_traced<'a>(
-    workload: &'a Workload,
-    cfg: ConcurrentConfig,
-    sink: Box<dyn TraceSink + 'a>,
-) -> ConcurrentResult {
-    crate::builder::RunBuilder::new(workload)
-        .concurrent(cfg)
-        .sink(sink)
-        .run()
-        .into_concurrent()
-}
-
-/// Same as [`run_concurrent_traced`], additionally feeding the telemetry
-/// registry behind `tele`: scoped phase timers (certify / policy / lock wait
-/// / lock hold / queue delay / 2PC / compensation) and per-shard/per-worker
-/// instruments. A disabled handle ([`Telemetry::off`]) makes this identical
-/// to `run_concurrent_traced` — no clock reads, no allocation, one branch
-/// per instrumented site (the `NoopSink` discipline), and bit-identical
-/// histories and metrics.
-#[deprecated(
-    since = "0.10.0",
-    note = "compose the options on `RunBuilder` instead: \
-            `RunBuilder::new(w).concurrent(cfg).sink(sink).telemetry(tele).run()`"
-)]
-pub fn run_concurrent_instrumented<'a>(
-    workload: &'a Workload,
-    cfg: ConcurrentConfig,
-    sink: Box<dyn TraceSink + 'a>,
-    tele: Telemetry,
-) -> ConcurrentResult {
-    crate::builder::RunBuilder::new(workload)
-        .concurrent(cfg)
-        .sink(sink)
-        .telemetry(tele)
-        .run()
-        .into_concurrent()
-}
-
-/// The one concurrent-driver implementation behind [`run_concurrent`], the
-/// deprecated traced/instrumented shims, and
+/// The one concurrent-driver implementation behind [`run_concurrent`] and
 /// [`crate::builder::RunBuilder`]: runs the workload with the given trace
 /// sink, telemetry handle, and (optionally) a durable WAL journaling every
-/// emitted shard event.
+/// emitted shard event. Trace records are stamped with `time == seq`
+/// (journal order) and the shard that served the decision; `history_len`
+/// is the shard-local segment length. Multi-process interleavings are
+/// nondeterministic except with one worker and closed arrivals.
 pub(crate) fn run_concurrent_impl<'a>(
     workload: &'a Workload,
     cfg: ConcurrentConfig,
@@ -1026,7 +837,7 @@ pub(crate) fn run_concurrent_impl<'a>(
     tele: Telemetry,
     wal: Option<WalWriter>,
 ) -> ConcurrentResult {
-    if let Err(msg) = cfg.validate(workload.spec.processes().count()) {
+    if let Err(msg) = cfg.validate() {
         panic!("invalid concurrent configuration: {msg}");
     }
     let mut agents: Agents = BTreeMap::new();
@@ -1084,8 +895,6 @@ pub(crate) fn run_concurrent_impl<'a>(
                     history: Schedule::new(),
                     event_tickets: Vec::new(),
                     generation: 0,
-                    live_workers: 0,
-                    waiting_workers: 0,
                     metrics: Metrics::new(),
                     invocations: BTreeMap::new(),
                     released: BTreeMap::new(),
@@ -1109,9 +918,8 @@ pub(crate) fn run_concurrent_impl<'a>(
 
     let worker_count = cfg.resolved_workers(shards.len());
     // Static shard→worker ownership: shard i belongs to worker i mod W.
-    // Disjoint ownership means shard locks are uncontended in the events
-    // runtime; they are kept for code reuse with the thread runtime and
-    // for the lock metrics.
+    // Disjoint ownership means shard locks are uncontended; they are kept
+    // for the lock metrics and because agents and the trace sink are shared.
     let worker_of_shard: Vec<u32> = (0..shards.len())
         .map(|si| (si % worker_count) as u32)
         .collect();
@@ -1120,7 +928,7 @@ pub(crate) fn run_concurrent_impl<'a>(
         sink: Mutex::new(sink),
         seq: AtomicU64::new(0),
         enabled,
-        worker_of_shard: (cfg.runtime == RuntimeKind::Events).then(|| worker_of_shard.clone()),
+        worker_of_shard: worker_of_shard.clone(),
     };
     let tickets = AtomicU64::new(0);
     let wal_cell = wal.map(Mutex::new);
@@ -1144,48 +952,28 @@ pub(crate) fn run_concurrent_impl<'a>(
         wal: wal_cell.as_ref(),
     };
 
-    let mut runtime_metrics = match cfg.runtime {
-        RuntimeKind::Threads => {
-            std::thread::scope(|scope| {
-                for (si, members) in groups.iter().enumerate() {
-                    for &pid in members {
-                        let shard = &shards[si];
-                        let ctx = &ctx;
-                        scope.spawn(move || worker(ctx, shard, pid));
-                    }
-                }
-            });
-            let processes: usize = groups.iter().map(Vec::len).sum();
-            RuntimeMetrics::new(RuntimeKind::Threads.label(), processes as u64)
+    // Build each worker's shard schedulers up front (run queues, waiting
+    // sets, per-process machine bookkeeping).
+    let mut per_worker: Vec<Vec<ShardSched>> = (0..worker_count).map(|_| Vec::new()).collect();
+    for (si, members) in groups.iter().enumerate() {
+        per_worker[worker_of_shard[si] as usize].push(ShardSched::new(si, members, &ctx));
+    }
+    let mut runtime_metrics = RuntimeMetrics::new(RuntimeKind::Events.label(), worker_count as u64);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = per_worker
+            .into_iter()
+            .enumerate()
+            .map(|(widx, owned)| {
+                let shards = &shards;
+                let ctx = &ctx;
+                scope.spawn(move || event_worker(ctx, shards, owned, widx))
+            })
+            .collect();
+        for h in handles {
+            runtime_metrics.merge(&h.join().expect("event worker panicked"));
         }
-        RuntimeKind::Events => {
-            // Build each worker's shard schedulers up front (run queues,
-            // waiting sets, per-process machine bookkeeping).
-            let mut per_worker: Vec<Vec<ShardSched>> =
-                (0..worker_count).map(|_| Vec::new()).collect();
-            for (si, members) in groups.iter().enumerate() {
-                per_worker[worker_of_shard[si] as usize].push(ShardSched::new(si, members, &ctx));
-            }
-            let mut collected =
-                RuntimeMetrics::new(RuntimeKind::Events.label(), worker_count as u64);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = per_worker
-                    .into_iter()
-                    .enumerate()
-                    .map(|(widx, owned)| {
-                        let shards = &shards;
-                        let ctx = &ctx;
-                        scope.spawn(move || event_worker(ctx, shards, owned, widx))
-                    })
-                    .collect();
-                for h in handles {
-                    collected.merge(&h.join().expect("event worker panicked"));
-                }
-            });
-            collected.workers = worker_count as u64;
-            collected
-        }
-    };
+    });
+    runtime_metrics.workers = worker_count as u64;
     runtime_metrics.in_flight_peak = ctx.live_peak.load(Ordering::Relaxed);
 
     // Deterministic merge: interleave shard segments in ticket order into
@@ -1206,9 +994,7 @@ pub(crate) fn run_concurrent_impl<'a>(
             events: st.history.len() as u64,
             lock_wait_ns: shard.lock_wait_ns.into_inner(),
             lock_hold_ns: shard.lock_hold_ns.into_inner(),
-            notifies: shard.notifies.into_inner(),
-            wakeups: shard.wakeups.into_inner(),
-            spurious_wakeups: shard.spurious_wakeups.into_inner(),
+            ..ShardMetrics::default()
         });
         metrics.merge(&m);
         tagged.extend(
@@ -1239,9 +1025,8 @@ pub(crate) fn run_concurrent_impl<'a>(
     ConcurrentResult { history, metrics }
 }
 
-/// Per-process state-machine bookkeeping the thread runtime kept in
-/// thread-local variables: admission attempt counters and the no-progress
-/// escalation state.
+/// Per-process state-machine bookkeeping: admission attempt counters and
+/// the no-progress escalation state.
 struct ProcSM {
     attempts: BTreeMap<ActivityId, u64>,
     no_progress: u32,
@@ -1279,9 +1064,7 @@ struct ShardSched {
     /// The shard generation moved since waiters were last re-queued. Moves
     /// are *coalesced*: re-queuing every waiter on every move would cost an
     /// O(waiters) futile-poll round per event, where draining the runnable
-    /// work first folds a whole burst of moves into one round — the same
-    /// effect the thread runtime gets from waiters sleeping through a burst
-    /// of notifies.
+    /// work first folds a whole burst of moves into one round.
     dirty: bool,
     /// Live telemetry gauge mirroring `run_queue.len() + waiting.len()`
     /// (no-op when telemetry is disabled).
@@ -1322,9 +1105,8 @@ impl ShardSched {
     /// queue. Used when the run queue drains *without* a generation move:
     /// everyone is deadlocked, so stepping all of them is pure futile work
     /// under a certified policy — a single probe accumulates no-progress
-    /// toward the escalation in `advance` (mirroring the thread runtime,
-    /// where only the last unparked waiter spins), and the moment its abort
-    /// moves the generation the full requeue path wakes the rest.
+    /// toward the escalation in `advance`, and the moment its abort moves
+    /// the generation the full requeue path wakes the rest.
     fn requeue_one_waiter(&mut self) {
         if let Some(&pid) = self.waiting.iter().next() {
             self.waiting.remove(&pid);
@@ -1424,8 +1206,7 @@ fn event_worker<'a>(
                 // uniformly, keeping a maximal unreduced frontier alive in
                 // the certifier for the whole run; running each process as
                 // deep as it can go completes (and reduces away) processes
-                // early, which is also how OS timeslices make the thread
-                // runtime behave.
+                // early.
                 loop {
                     budget -= 1;
                     rt.steps += 1;
@@ -1437,14 +1218,7 @@ fn event_worker<'a>(
                         .sm
                         .get_mut(&pid)
                         .expect("live process has a state machine");
-                    let step = advance(
-                        ctx,
-                        &mut g,
-                        pid,
-                        &mut sm.attempts,
-                        &mut sm.no_progress,
-                        &mut sm.last_fingerprint,
-                    );
+                    let step = advance(ctx, &mut g, pid, sm);
                     let moved = g.generation != gen0;
                     drop(g);
                     rt.worker_busy_ns += t0.elapsed().as_nanos() as u64;
@@ -1514,96 +1288,22 @@ fn event_worker<'a>(
     }
 }
 
-fn worker<'a>(ctx: &RunCtx<'_, 'a>, shard: &Shard<'a>, pid: ProcessId) {
-    // Open-system arrival: the worker thread exists from run start but the
-    // process only enters the scheduler after its arrival offset.
-    let arrival_us = ctx.arrivals.get(&pid).copied().unwrap_or(0);
-    if arrival_us > 0 {
-        let target = std::time::Duration::from_micros(arrival_us);
-        let since_start = ctx.run_start.elapsed();
-        if since_start < target {
-            std::thread::sleep(target - since_start);
-        }
-    }
-    // Register as a live worker of the shard: the timeout-free wait logic
-    // parks a waiter only while some other live worker can still notify it.
-    {
-        let mut g = shard.lock();
-        g.live_workers += 1;
-    }
-    ctx.process_arrived();
-    let mut sm = ProcSM::new();
-    loop {
-        let mut g = shard.lock();
-        let gen0 = g.generation;
-        let step = advance(
-            ctx,
-            &mut g,
-            pid,
-            &mut sm.attempts,
-            &mut sm.no_progress,
-            &mut sm.last_fingerprint,
-        );
-        if g.generation != gen0 {
-            shard.notify();
-        }
-        match step {
-            Step::Done => {
-                // Leaving changes the live-worker arithmetic the parked
-                // waiters depend on: bump the generation and notify so the
-                // last-waiter check re-evaluates.
-                g.live_workers -= 1;
-                g.generation += 1;
-                shard.notify();
-                drop(g);
-                ctx.process_terminated();
-                return;
-            }
-            Step::Wait => {
-                let progressed = shard.wait_for_change(&mut g, ctx.cfg.fallback_wait);
-                drop(g);
-                if !progressed {
-                    // Re-poll path (last unparked waiter): let shard-mates
-                    // that hold no lock run before re-acquiring.
-                    std::thread::yield_now();
-                }
-            }
-            Step::Yield(simulated) => {
-                drop(g);
-                // Failure-injected invocation: agent work only, no shared
-                // scheduling state — run it without the shard lock.
-                if let Some(sim) = simulated {
-                    let _ = ctx.agents[&sim.site.subsystem].lock().invoke(
-                        sim.svc,
-                        &sim.site.program,
-                        CommitMode::Immediate,
-                        true,
-                    );
-                }
-                std::thread::yield_now();
-            }
-        }
-    }
-}
-
 /// One scheduling iteration for `pid` under the shard lock.
 fn advance<'a>(
     ctx: &RunCtx<'_, 'a>,
     g: &mut ShardGuard<'_, 'a>,
     pid: ProcessId,
-    attempts: &mut BTreeMap<ActivityId, u64>,
-    no_progress: &mut u32,
-    last_fingerprint: &mut Option<(usize, usize)>,
+    sm: &mut ProcSM,
 ) -> Step {
     g.drain_ready_releases(ctx);
     let fingerprint = (g.history.len(), g.states[&pid].steps().len());
-    if *last_fingerprint == Some(fingerprint) {
-        *no_progress += 1;
+    if sm.last_fingerprint == Some(fingerprint) {
+        sm.no_progress += 1;
     } else {
-        *no_progress = 0;
+        sm.no_progress = 0;
     }
-    *last_fingerprint = Some(fingerprint);
-    if *no_progress > 0 && no_progress.is_multiple_of(200) && g.states[&pid].is_active() {
+    sm.last_fingerprint = Some(fingerprint);
+    if sm.no_progress > 0 && sm.no_progress.is_multiple_of(200) && g.states[&pid].is_active() {
         if g.states[&pid].abort_in_progress() {
             // Our completion is blocked by other processes' hypothetical
             // completions (§3.5): group-abort them so their real
@@ -1635,7 +1335,7 @@ fn advance<'a>(
         }
         return Step::Yield(None);
     }
-    if *no_progress >= 20_000 {
+    if sm.no_progress >= 20_000 {
         let mut diag = String::new();
         for (p, st) in &g.states {
             diag.push_str(&format!(
@@ -1706,7 +1406,7 @@ fn advance<'a>(
     }
     // Next forward activity?
     if let Some(a) = g.states[&pid].next_activity() {
-        return step_activity(ctx, g, pid, a, attempts);
+        return step_activity(ctx, g, pid, a, &mut sm.attempts);
     }
     // Commit.
     if g.states[&pid].can_commit() {
@@ -1944,9 +1644,8 @@ fn finalize<'a>(ctx: &RunCtx<'_, 'a>, g: &mut ShardGuard<'_, 'a>, pid: ProcessId
     // `on_commit`/`on_abort` above removed the process's live operations
     // from the policy — a scheduler-visible change that can unblock a
     // waiter even when no history event was emitted here. Bump the
-    // generation so waiters re-poll (without this, the removal was only
-    // observed via the historical fallback-timeout wait — the lost-notify
-    // bug the lost-wakeup stress test pins).
+    // generation so the runtime re-queues the shard's waiters; otherwise
+    // only its deadlock probe would reach them.
     g.generation += 1;
 }
 
@@ -2295,70 +1994,24 @@ mod tests {
             "latency beyond makespan"
         );
         assert!(!result.metrics.shards.is_empty());
-        assert!(result.metrics.wakeups_total() >= result.metrics.spurious_wakeups_total());
     }
 
     #[test]
-    fn runtime_kind_parse_label_and_caps() {
-        assert_eq!(RuntimeKind::parse("threads"), Some(RuntimeKind::Threads));
+    fn runtime_kind_parses_only_events() {
         assert_eq!(RuntimeKind::parse("events"), Some(RuntimeKind::Events));
+        assert_eq!(RuntimeKind::parse("threads"), None);
         assert_eq!(RuntimeKind::parse("bogus"), None);
-        assert_eq!(RuntimeKind::Threads.label(), "threads");
         assert_eq!(RuntimeKind::Events.label(), "events");
-        assert!(RuntimeKind::Threads.max_processes().is_some());
-        assert_eq!(RuntimeKind::Events.max_processes(), None);
     }
 
     #[test]
-    fn validate_derives_cap_from_runtime_and_names_the_knob() {
-        let threads = ConcurrentConfig {
-            runtime: RuntimeKind::Threads,
-            ..ConcurrentConfig::default()
-        };
-        let cap = RuntimeKind::Threads.max_processes().unwrap();
-        assert!(threads.validate(cap).is_ok());
-        let err = threads.validate(cap + 1).unwrap_err();
-        assert!(
-            err.contains("--runtime events"),
-            "error names the knob: {err}"
-        );
-        assert!(
-            err.contains(&cap.to_string()),
-            "error states the cap: {err}"
-        );
-        // The events runtime has no ceiling.
-        let events = ConcurrentConfig::default();
-        assert!(events.validate(1_000_000).is_ok());
-        // A zero-sized worker pool is rejected, naming its knob.
+    fn validate_rejects_an_empty_worker_pool_naming_the_knob() {
+        assert!(ConcurrentConfig::default().validate().is_ok());
         let zero = ConcurrentConfig {
             workers: Some(0),
             ..ConcurrentConfig::default()
         };
-        assert!(zero.validate(4).unwrap_err().contains("--workers"));
-    }
-
-    #[test]
-    fn threads_runtime_still_terminates_without_fallback_wait() {
-        let w = generate(&WorkloadConfig {
-            seed: 3,
-            processes: 6,
-            conflict_density: 0.5,
-            failure_probability: 0.2,
-            ..WorkloadConfig::default()
-        });
-        let result = run_concurrent(
-            &w,
-            ConcurrentConfig {
-                seed: 3,
-                runtime: RuntimeKind::Threads,
-                ..ConcurrentConfig::default()
-            },
-        );
-        assert_eq!(result.metrics.terminated(), 6);
-        let rt = result.metrics.runtime.expect("runtime metrics populated");
-        assert_eq!(rt.runtime, "threads");
-        assert_eq!(rt.workers, 6);
-        assert!(rt.in_flight_peak >= 1);
+        assert!(zero.validate().unwrap_err().contains("--workers"));
     }
 
     #[test]
@@ -2385,26 +2038,6 @@ mod tests {
         assert_eq!(rt.in_flight_peak, 8, "closed arrivals: all in flight");
         assert!(rt.sched_delay_ns.iter().sum::<u64>() > 0);
         assert!(rt.delay_percentile_ns(0.95).is_some());
-    }
-
-    #[test]
-    fn try_run_concurrent_reports_config_errors() {
-        let w = generate(&WorkloadConfig {
-            seed: 1,
-            processes: 4,
-            ..WorkloadConfig::default()
-        });
-        let err = try_run_concurrent(
-            &w,
-            ConcurrentConfig {
-                workers: Some(0),
-                ..ConcurrentConfig::default()
-            },
-        )
-        .unwrap_err();
-        assert!(err.contains("--workers"));
-        let ok = try_run_concurrent(&w, ConcurrentConfig::default()).unwrap();
-        assert_eq!(ok.metrics.terminated(), 4);
     }
 
     #[test]

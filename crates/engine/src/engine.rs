@@ -160,8 +160,9 @@ pub struct Engine<'a> {
     /// Consecutive processed events without progress (livelock detector).
     no_progress_ticks: u32,
     /// Decision-trace sink ([`NoopSink`] unless installed via
-    /// [`Engine::with_sink`]). Emission sites consult `sink.enabled()`
-    /// before building payloads, so the no-op sink costs one branch.
+    /// [`crate::builder::RunBuilder::sink`]). Emission sites consult
+    /// `sink.enabled()` before building payloads, so the no-op sink costs
+    /// one branch.
     sink: Box<dyn TraceSink + 'a>,
     /// Next trace sequence number.
     trace_seq: u64,
@@ -169,16 +170,18 @@ pub struct Engine<'a> {
     /// wait, for the per-process blocked-time metric.
     blocked_since: BTreeMap<ProcessId, u64>,
     /// Telemetry registry handle (disabled unless installed via
-    /// [`Engine::with_telemetry`]). Phase timers consult `tele.enabled()`
-    /// before reading the clock, so the disabled handle costs one branch —
-    /// the same discipline as the [`NoopSink`] trace path.
+    /// [`crate::builder::RunBuilder::telemetry`]). Phase timers consult
+    /// `tele.enabled()` before reading the clock, so the disabled handle
+    /// costs one branch — the same discipline as the [`NoopSink`] trace
+    /// path.
     tele: Telemetry,
     /// Wall instant at which each process's deferred invocation prepared;
     /// populated only while telemetry is enabled (disabled runs stay
     /// byte-identical). Drives the [`Phase::TwoPc`] prepare→decide gap.
     prepared_at: BTreeMap<ProcessId, Instant>,
     /// Virtual-time sampling: every `K` processed events, snapshot the
-    /// registry into the ring (installed via [`Engine::with_sampling`]).
+    /// registry into the ring (installed via
+    /// [`crate::builder::RunBuilder::sampling`]).
     sampling: Option<(u64, TimeSeries)>,
     /// Processed (non-stale) dispatch events, for the sampling cadence.
     events_processed: u64,
@@ -230,25 +233,8 @@ impl<'a> Engine<'a> {
         Self::assemble(workload, cfg, Box::new(NoopSink))
     }
 
-    /// Sets up a run that emits its decision trace into `sink`. Install a
-    /// cloned [`txproc_core::trace::Journal`] or
-    /// [`txproc_core::trace::RingSink`] handle to read the trace back after
-    /// [`Engine::run`] consumes the engine.
-    #[deprecated(
-        since = "0.10.0",
-        note = "compose the options on `RunBuilder` instead: \
-                `RunBuilder::new(w).config(cfg).sink(sink).run()`"
-    )]
-    pub fn with_sink(
-        workload: &'a Workload,
-        cfg: RunConfig,
-        sink: Box<dyn TraceSink + 'a>,
-    ) -> Self {
-        Self::assemble(workload, cfg, sink)
-    }
-
-    /// The one engine constructor behind [`Engine::new`], the deprecated
-    /// `with_sink` shim, and [`crate::builder::RunBuilder`].
+    /// The one engine constructor behind [`Engine::new`] and
+    /// [`crate::builder::RunBuilder`].
     pub(crate) fn assemble(
         workload: &'a Workload,
         cfg: RunConfig,
@@ -339,16 +325,6 @@ impl<'a> Engine<'a> {
     /// Installs a telemetry handle: phase timers (certify / policy /
     /// compensation / 2PC prepare→decide) feed its registry. With a
     /// disabled handle the hot paths cost one branch and read no clocks.
-    #[deprecated(
-        since = "0.10.0",
-        note = "compose the options on `RunBuilder` instead: \
-                `RunBuilder::new(w).config(cfg).telemetry(tele).run()`"
-    )]
-    pub fn with_telemetry(mut self, tele: Telemetry) -> Self {
-        self.set_telemetry(tele);
-        self
-    }
-
     pub(crate) fn set_telemetry(&mut self, tele: Telemetry) {
         self.tele = tele;
     }
@@ -356,16 +332,6 @@ impl<'a> Engine<'a> {
     /// Samples the telemetry registry into `series` every `every_events`
     /// processed dispatch events, stamped with the virtual clock. No-op
     /// while telemetry is disabled.
-    #[deprecated(
-        since = "0.10.0",
-        note = "compose the options on `RunBuilder` instead: \
-                `RunBuilder::new(w).config(cfg).sampling(n, series).run()`"
-    )]
-    pub fn with_sampling(mut self, every_events: u64, series: TimeSeries) -> Self {
-        self.set_sampling(every_events, series);
-        self
-    }
-
     pub(crate) fn set_sampling(&mut self, every_events: u64, series: TimeSeries) {
         self.sampling = Some((every_events.max(1), series));
     }

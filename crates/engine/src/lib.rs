@@ -13,9 +13,9 @@
 //! * [`engine`] — the deterministic virtual-time executor: admission
 //!   control, failure injection, alternative execution paths, compensation,
 //!   deferred 2PC commits, cascading aborts, metrics,
-//! * [`concurrent`] — the same protocol under realistic concurrency
-//!   (event-driven worker pool by default, thread-per-process as the
-//!   differential baseline; stress-tested for PRED),
+//! * [`concurrent`] — the same protocol under realistic concurrency: an
+//!   event-driven worker pool over conflict-domain shards (stress-tested
+//!   for PRED),
 //! * [`recovery`] — scheduler crash recovery by group abort and completion
 //!   replay from the durable logs (§3.3, Definition 8).
 
@@ -30,13 +30,7 @@ pub mod policy;
 pub mod recovery;
 
 pub use builder::{RunBuilder, RunOutcome};
-#[allow(deprecated)]
-pub use concurrent::run_concurrent_traced;
-pub use concurrent::{
-    run_concurrent, try_run_concurrent, ConcurrentConfig, ConcurrentResult, RuntimeKind, ShardMode,
-};
+pub use concurrent::{run_concurrent, ConcurrentConfig, ConcurrentResult, RuntimeKind, ShardMode};
 pub use engine::{run, Engine, RunConfig, RunResult};
 pub use policy::{Policy, PolicyKind};
-#[allow(deprecated)]
-pub use recovery::recover_traced;
 pub use recovery::{recover, CrashImage, Recovery, RecoveryError, RecoveryReport, RecoverySource};

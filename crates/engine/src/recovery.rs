@@ -198,21 +198,7 @@ pub fn recover(workload: &Workload, image: CrashImage) -> Result<RecoveryReport,
     recover_impl(workload, image, Box::new(NoopSink))
 }
 
-/// Same as [`recover`], delivering structured [`TraceEvent`]s to `sink`.
-#[deprecated(
-    since = "0.10.0",
-    note = "use `Recovery::from(RecoverySource::Image(image)).sink(sink).run(workload)`"
-)]
-pub fn recover_traced<'s>(
-    workload: &Workload,
-    image: CrashImage,
-    sink: Box<dyn TraceSink + 's>,
-) -> Result<RecoveryReport, SubsystemError> {
-    recover_impl(workload, image, sink)
-}
-
-/// The one recovery implementation behind [`recover`], [`Recovery`], and
-/// the deprecated `recover_traced` shim.
+/// The one recovery implementation behind [`recover`] and [`Recovery`].
 pub(crate) fn recover_impl<'s>(
     workload: &Workload,
     mut image: CrashImage,
@@ -451,6 +437,41 @@ mod tests {
             failure_probability: 0.1,
             ..WorkloadConfig::default()
         })
+    }
+
+    /// `recover` and `Recovery` over an image source are two names for one
+    /// procedure: identical reports over 256 seeds of varied shape.
+    #[test]
+    fn recover_and_recovery_from_image_agree() {
+        for seed in 0..256u64 {
+            let w = generate(&WorkloadConfig {
+                seed,
+                processes: 3 + (seed % 4) as usize,
+                clusters: 1 + (seed % 3) as usize,
+                conflict_density: (seed % 5) as f64 / 5.0,
+                failure_probability: if seed.is_multiple_of(2) { 0.2 } else { 0.0 },
+                ..WorkloadConfig::default()
+            });
+            let cfg = RunConfig {
+                seed,
+                epoch: (seed % 5) as usize,
+                ..RunConfig::default()
+            };
+            let mut engine = Engine::new(&w, cfg);
+            engine.run_until_history(3 + (seed % 7) as usize);
+            let image = engine.crash();
+            let plain = recover(&w, image.clone()).expect("recover");
+            let unified = Recovery::from(RecoverySource::Image(image))
+                .run(&w)
+                .expect("Recovery::run");
+            assert_eq!(
+                txproc_core::schedule::render(&plain.history),
+                txproc_core::schedule::render(&unified.history),
+                "seed {seed}"
+            );
+            assert_eq!(plain.aborted, unified.aborted, "seed {seed}");
+            assert_eq!(plain.compensations, unified.compensations, "seed {seed}");
+        }
     }
 
     #[test]

@@ -84,8 +84,8 @@ fn engine_epoch_one_is_bit_identical_to_per_event() {
 #[test]
 fn concurrent_epoch_one_is_bit_identical_to_per_event() {
     // One worker + closed arrivals is the deterministic events-runtime
-    // configuration (documented on `run_concurrent_traced`), so the two
-    // runs see the same interleaving and only the epoch knob differs.
+    // configuration, so the two runs see the same interleaving and only
+    // the epoch knob differs.
     for seed in 0..SEEDS {
         let w = workload(seed);
         let base_cfg = ConcurrentConfig {

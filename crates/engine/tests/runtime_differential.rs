@@ -1,29 +1,36 @@
-//! Differential stress tests pinning the event-driven runtime to the
-//! thread-per-process baseline.
+//! Stress tests pinning the event-driven runtime's outcomes.
 //!
 //! Three oracles:
 //!
 //! 1. On workloads whose processes are pairwise non-conflicting,
 //!    scheduling decisions degenerate to the deterministic failure coins,
-//!    so the events and thread runtimes must produce bit-equal
-//!    commit/abort sets over 256 seeds.
+//!    so the default (sharded, multi-worker) configuration must commit and
+//!    abort exactly the processes of the deterministic one-worker
+//!    single-shard run, and both must hash to the golden outcome pin over
+//!    256 seeds. The pin was recorded while the thread-per-process runtime
+//!    still existed and agreed with the events runtime on every seed, so it
+//!    keeps that differential's other side.
 //! 2. With a single worker and closed arrivals the events runtime has no
 //!    scheduling nondeterminism left: repeated runs must produce
 //!    bit-identical merged histories.
-//! 3. Lost-wakeup stress: the thread runtime with the fallback timeout
-//!    removed must still terminate on conflict-heavy, abort-heavy
-//!    workloads — a missed notify (e.g. the historical finalize
-//!    lost-notify bug) hangs it, which a watchdog converts into a test
-//!    failure.
+//! 3. Termination stress: two workers on conflict-heavy, abort-heavy
+//!    workloads must terminate every process. A run that stalls or
+//!    livelocks fails under a watchdog instead of hanging the suite.
 
 use std::collections::BTreeSet;
 use txproc_core::domains::DomainPartition;
 use txproc_core::ids::ProcessId;
 use txproc_core::schedule::{Event, Schedule};
-use txproc_engine::{run_concurrent, ConcurrentConfig, RuntimeKind};
+use txproc_engine::{run_concurrent, ConcurrentConfig, ShardMode};
 use txproc_sim::workload::{generate, WorkloadConfig};
 
-fn outcome_sets(history: &Schedule) -> (BTreeSet<ProcessId>, BTreeSet<ProcessId>) {
+/// FNV-1a over the `(seed, committed, aborted)` outcome sets of oracle 1's
+/// 256 seeds, recorded with the events and thread runtimes in agreement.
+const GOLDEN_OUTCOMES: u64 = 0x3107_9e2a_3674_9840;
+
+type Outcomes = (BTreeSet<ProcessId>, BTreeSet<ProcessId>);
+
+fn outcome_sets(history: &Schedule) -> Outcomes {
     let mut committed = BTreeSet::new();
     let mut aborted = BTreeSet::new();
     for e in history.events() {
@@ -43,10 +50,31 @@ fn outcome_sets(history: &Schedule) -> (BTreeSet<ProcessId>, BTreeSet<ProcessId>
     (committed, aborted)
 }
 
-/// Oracle 1: events and threads runtimes commit and abort exactly the same
-/// processes on disjoint workloads, over 256 seeds.
+/// Folds one seed's outcome sets into an FNV-1a hash: the seed, then each
+/// set as its length followed by its pids, all as little-endian `u64`s.
+fn fold_outcomes(hash: &mut u64, seed: u64, (committed, aborted): &Outcomes) {
+    let mut word = |x: u64| {
+        for b in x.to_le_bytes() {
+            *hash ^= u64::from(b);
+            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    word(seed);
+    for set in [committed, aborted] {
+        word(set.len() as u64);
+        for p in set {
+            word(u64::from(p.0));
+        }
+    }
+}
+
+/// Oracle 1: the default configuration and the one-worker single-shard run
+/// commit and abort exactly the same processes on disjoint workloads, and
+/// both match the golden pin, over 256 seeds.
 #[test]
-fn events_matches_threads_on_disjoint_workloads_over_256_seeds() {
+fn events_matches_golden_and_single_worker_on_disjoint_workloads_over_256_seeds() {
+    let mut default_hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut single_hash = default_hash;
     for seed in 0..256u64 {
         let processes = 3 + (seed % 4) as usize;
         let w = generate(&WorkloadConfig {
@@ -64,35 +92,46 @@ fn events_matches_threads_on_disjoint_workloads_over_256_seeds() {
         );
         let cfg = ConcurrentConfig {
             seed,
-            runtime: RuntimeKind::Events,
             ..ConcurrentConfig::default()
         };
-        let events = run_concurrent(&w, cfg.clone());
-        let threads = run_concurrent(
+        let sharded = run_concurrent(&w, cfg.clone());
+        let single = run_concurrent(
             &w,
             ConcurrentConfig {
-                runtime: RuntimeKind::Threads,
+                shards: ShardMode::Single,
+                workers: Some(1),
                 ..cfg
             },
         );
+        let outcomes = outcome_sets(&sharded.history);
         assert_eq!(
-            outcome_sets(&events.history),
-            outcome_sets(&threads.history),
-            "seed {seed}: events vs threads outcome sets diverge"
+            outcomes,
+            outcome_sets(&single.history),
+            "seed {seed}: sharded vs single-worker outcome sets diverge"
         );
         assert_eq!(
-            events.metrics.committed, threads.metrics.committed,
+            sharded.metrics.committed, single.metrics.committed,
             "seed {seed}: committed counts diverge"
         );
         assert_eq!(
-            events.metrics.aborted, threads.metrics.aborted,
+            sharded.metrics.aborted, single.metrics.aborted,
             "seed {seed}: aborted counts diverge"
         );
         assert!(
-            txproc_core::pred::is_pred(&w.spec, &events.history).unwrap(),
+            txproc_core::pred::is_pred(&w.spec, &sharded.history).unwrap(),
             "seed {seed}: events history not PRED"
         );
+        fold_outcomes(&mut default_hash, seed, &outcomes);
+        fold_outcomes(&mut single_hash, seed, &outcome_sets(&single.history));
     }
+    assert_eq!(
+        default_hash, GOLDEN_OUTCOMES,
+        "default configuration drifted from the golden outcome pin"
+    );
+    assert_eq!(
+        single_hash, GOLDEN_OUTCOMES,
+        "single-worker run drifted from the golden outcome pin"
+    );
 }
 
 /// Oracle 2: one worker + closed arrivals ⇒ the events runtime is fully
@@ -111,7 +150,6 @@ fn single_worker_events_runtime_is_deterministic() {
         });
         let cfg = ConcurrentConfig {
             seed,
-            runtime: RuntimeKind::Events,
             workers: Some(1),
             ..ConcurrentConfig::default()
         };
@@ -132,11 +170,11 @@ fn single_worker_events_runtime_is_deterministic() {
     }
 }
 
-/// Oracle 3: the thread runtime without any fallback timeout terminates on
-/// abort-heavy contended workloads. Runs under a watchdog: a lost wakeup
-/// deadlocks the run, and the harness reports it instead of hanging.
+/// Oracle 3: two workers terminate every process on abort-heavy contended
+/// workloads. Runs under a watchdog: a stalled run is reported instead of
+/// hanging the harness.
 #[test]
-fn threads_runtime_survives_lost_wakeup_stress() {
+fn two_worker_events_runtime_terminates_under_abort_heavy_stress() {
     let (tx, rx) = std::sync::mpsc::channel();
     let handle = std::thread::spawn(move || {
         for seed in 0..24u64 {
@@ -152,8 +190,7 @@ fn threads_runtime_survives_lost_wakeup_stress() {
                 &w,
                 ConcurrentConfig {
                     seed,
-                    runtime: RuntimeKind::Threads,
-                    fallback_wait: false,
+                    workers: Some(2),
                     ..ConcurrentConfig::default()
                 },
             );
@@ -162,10 +199,11 @@ fn threads_runtime_survives_lost_wakeup_stress() {
         tx.send(()).ok();
     });
     match rx.recv_timeout(std::time::Duration::from_secs(120)) {
-        Ok(()) => handle.join().expect("stress runs clean"),
-        Err(_) => panic!(
-            "thread runtime hung without the fallback timeout: a wait was \
-             never notified (lost-wakeup bug)"
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!(
+            "events runtime did not terminate an abort-heavy workload within \
+             the watchdog"
         ),
+        // Sent, or the stress thread panicked: joining surfaces its panic.
+        _ => handle.join().expect("stress runs clean"),
     }
 }

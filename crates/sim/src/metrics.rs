@@ -46,16 +46,14 @@ impl AbortReasons {
     }
 }
 
-/// Per-shard lock and wakeup observability collected by the sharded
-/// concurrent driver (one entry per conflict-domain shard; the single-lock
+/// Per-shard lock observability collected by the sharded concurrent
+/// driver (one entry per conflict-domain shard; the single-lock
 /// configuration reports exactly one).
 ///
-/// `wakeups` counts condvar returns in the shard's workers; a wakeup is
-/// *spurious* when the shard generation did not change while waiting (the
-/// waiter re-checked state for nothing — with targeted notification these
-/// are almost exclusively fallback-timeout polls, whereas the pre-notify
-/// driver paid one speculative wakeup per fixed-interval poll). `notifies`
-/// counts `notify_all` broadcasts after a state change.
+/// `wakeups` and `spurious_wakeups` counted condvar returns of the removed
+/// thread-per-process runtime. The event-driven runtime parks no thread,
+/// so both read 0; they stay because the benchmark package (`perfbench/`)
+/// reports them.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardMetrics {
     /// Shard id (dense, ordered by smallest member process id).
@@ -66,14 +64,11 @@ pub struct ShardMetrics {
     pub events: u64,
     /// Total wall-clock time workers spent blocked acquiring the shard lock.
     pub lock_wait_ns: u64,
-    /// Total wall-clock time workers held the shard lock (condvar-wait time
-    /// excluded).
+    /// Total wall-clock time workers held the shard lock.
     pub lock_hold_ns: u64,
-    /// Condvar broadcasts sent after a visible state change.
-    pub notifies: u64,
-    /// Condvar wait returns observed by the shard's workers.
+    /// Condvar wait returns observed by the shard's workers (always 0).
     pub wakeups: u64,
-    /// Wait returns that observed no state change (avoidable re-checks).
+    /// Wait returns that observed no state change (always 0).
     pub spurious_wakeups: u64,
 }
 
@@ -83,15 +78,13 @@ pub const SCHED_DELAY_BUCKETS: usize = 40;
 
 /// Runtime-level observability collected by the concurrent driver: worker
 /// utilization, run-queue depth and scheduling delay (time a runnable
-/// process sat in a run queue before its next step). Populated by both
-/// runtimes; queue/delay fields are meaningful for the event-driven one
-/// (the thread runtime has no run queues — a runnable process is a ready
-/// thread).
+/// process sat in a run queue before its next step).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RuntimeMetrics {
-    /// Runtime kind label (`"threads"` or `"events"`).
+    /// Runtime kind label (`"events"`; reports written before the thread
+    /// runtime was removed may also hold `"threads"`).
     pub runtime: String,
-    /// Worker threads used (thread runtime: one per process).
+    /// Worker threads used.
     pub workers: u64,
     /// State-machine steps executed (one `advance` call each).
     pub steps: u64,
@@ -391,7 +384,7 @@ impl Metrics {
         self.blocked_time.values().sum()
     }
 
-    /// Total condvar wakeups across shards.
+    /// Total condvar wakeups across shards (always 0; see [`ShardMetrics`]).
     pub fn wakeups_total(&self) -> u64 {
         self.shards.iter().map(|s| s.wakeups).sum()
     }
@@ -514,7 +507,6 @@ mod tests {
                 events: 12,
                 lock_wait_ns: 100,
                 lock_hold_ns: 400,
-                notifies: 9,
                 wakeups: 20,
                 spurious_wakeups: 5,
             }],
@@ -527,7 +519,6 @@ mod tests {
                 events: 8,
                 lock_wait_ns: 50,
                 lock_hold_ns: 200,
-                notifies: 4,
                 wakeups: 10,
                 spurious_wakeups: 1,
             }],

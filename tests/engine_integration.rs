@@ -1,5 +1,5 @@
 //! Engine-level integration tests spanning crates: scheduler invariants,
-//! crash recovery sweeps, the thread-per-process driver, and the CIM
+//! crash recovery sweeps, the concurrent driver, and the CIM
 //! scenario's specific guarantees.
 
 use txproc::core::pred::is_pred;
